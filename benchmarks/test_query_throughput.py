@@ -35,10 +35,6 @@ from repro.core.quantized import QuantizedLabelStore
 from repro.graphs.generators import ba_graph
 from repro.oracle import DistanceOracle
 
-np = pytest.importorskip(
-    "numpy", reason="the vectorized query kernel requires numpy"
-)
-
 NUM_VERTICES = 10_000
 NUM_PAIRS = 20_000
 #: Acceptance floor for the kernel vs the scalar batch path.  The

@@ -1,9 +1,10 @@
 """Sharded-serving benchmark: ParallelOracle vs single-store batches.
 
-The claim behind the sharded store + worker-pool frontend is that
-batch throughput scales with cores once the index is partitioned:
-every worker owns an mmap of the shard files and evaluates its chunk
-with the same evaluation paths the single-store process uses.  This
+The claim behind the sharded store + fan-out frontend is that batch
+throughput scales with cores once the index is partitioned: every
+forked worker shares the parent's mmap of the shard files and
+evaluates its span with the same evaluation paths the single-store
+process uses.  This
 file builds one index over a 10k-vertex Barabasi-Albert graph, serves
 it four ways — per-pair, single-store ``query_batch``, and
 ``ParallelOracle`` over a shard directory with the vectorized kernel
@@ -18,11 +19,12 @@ pinned off and on — and enforces:
   runners have >= 2).
 
 With the kernel on, both configurations speed up by several times and
-the measured rates are recorded without a floor: chunk dispatch is
-amortised by shipping numpy array chunks, but a cache-resident index
-answered by one kernel call per batch is hard to beat until indexes
-outgrow one machine's memory — that trade-off belongs in the data,
-not hidden by the gate (``benchmarks/test_query_throughput.py`` gates
+the measured rates are recorded without a floor: spans cross the
+process boundary as two integers over shared buffers, but a
+cache-resident index answered by one kernel call per batch is hard to
+beat until indexes outgrow one machine's memory (the oracle's default
+``inline_entries`` keeps such indexes inline) — that trade-off belongs
+in the data, not hidden by the gate (``benchmarks/test_query_throughput.py`` gates
 the kernel itself).
 
 Every run also records its measurements — including p50/p99 single-
@@ -51,7 +53,7 @@ from repro.oracle import DistanceOracle, ParallelOracle, ShardedLabelStore
 from repro.oracle import kernel as query_kernel
 
 NUM_VERTICES = 10_000
-#: Big enough that pool dispatch (pickling pairs, waking workers) is
+#: Big enough that pool dispatch (copying pairs, waking workers) is
 #: amortised; the per-worker chunks still fit well inside L2-resident
 #: label slices.
 NUM_PAIRS = 20_000
@@ -88,7 +90,6 @@ def _make_parallel(shard_dir, kernel: str) -> ParallelOracle:
     oracle = ParallelOracle(
         shard_dir,
         workers=min(NUM_SHARDS, _CORES),
-        executor="process",
         cache_size=0,
         kernel=kernel,
     )
@@ -162,7 +163,7 @@ def test_single_store_batch_throughput(benchmark, assets, pairs):
 
 
 def test_parallel_batch_throughput(benchmark, assets, pairs, parallel_oracle):
-    """The sharded fan-out path through the warm process pool."""
+    """The sharded path through the default-configured oracle."""
     result = benchmark(lambda: parallel_oracle.query_batch(pairs))
     flat, _ = assets
     assert result == [flat.query(s, t) for s, t in pairs]

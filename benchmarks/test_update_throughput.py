@@ -43,8 +43,6 @@ from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from repro.graphs.generators import ba_graph
 
-np = pytest.importorskip("numpy", reason="the array repair engine requires numpy")
-
 #: Barabasi-Albert component (the part that grows).
 NUM_BA_VERTICES = 10_000
 #: Disconnected pad vertices occupying the top vertex range (paired

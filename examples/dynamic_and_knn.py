@@ -5,7 +5,7 @@ Two extensions built on the paper's machinery:
 * **incremental edge insertion** (`repro.core.dynamic`) — the paper
   targets static graphs; the hop-doubling rules double as a repair
   procedure, keeping queries exact as edges arrive (batched here,
-  through the vectorized array repair engine when numpy is present),
+  through the vectorized array repair engine),
   with the changed labels handed to a serving store as a delta;
 * **inverted label index** (`repro.core.knn`) — one-to-all distances
   and k-NN straight from the labels, serving the centrality-style

@@ -9,7 +9,6 @@ Subcommands::
     repro query INDEX [S T ...] [--batch FILE] [--backend {flat,list}]
                                [--mmap] [--kernel {auto,on,off}]
     repro query --shards DIR [S T ...] [--batch FILE] [--workers N]
-                               [--executor {process,thread}]
     repro convert INDEX -o OUTPUT [--format {v1,v2,v3}] [--stats]
                                [--force]
     repro shard INDEX -o DIR [--shards N] [--format {v2,v3}] [--force]
@@ -32,14 +31,14 @@ comments); ``INDEX`` files use the library's binary label formats
 arrays — ``repro convert`` translates between them and ``--stats``
 reports the size breakdown).  ``repro shard`` splits an index into a
 directory of per-vertex-range v2 (or, with ``--format v3``, quantized)
-files plus a manifest, which ``repro query --shards`` serves through a
-worker pool.  ``repro update`` inserts edges into a built index (or a
-shard directory) by incremental Hop-Doubling label repair — no
+files plus a manifest, which ``repro query --shards`` serves through
+forked workers.  ``repro update`` inserts edges into a built index (or
+a shard directory) by incremental Hop-Doubling label repair — no
 rebuild; a shard directory has only its changed shards rewritten and
 their manifest checksums refreshed.  Queries are served through the
 :class:`~repro.oracle.DistanceOracle` facade; ``--batch FILE``
 evaluates one ``s t`` pair per line with the vectorized numpy kernel
-when available (``--kernel`` pins the choice) and grouped merge joins
+on v2/v3 stores (``--kernel`` pins the choice) and grouped merge joins
 otherwise.  ``repro serve`` runs the asyncio distance server of
 :mod:`repro.serve` over an index file or shard directory: concurrent
 clients' requests coalesce into kernel batches under an admission
@@ -63,30 +62,12 @@ from repro.utils.timer import format_duration
 def _resolve_engine(engine: str, jobs: int) -> tuple[str, int] | None:
     """Turn the CLI engine choice into builder kwargs (None = error).
 
-    ``auto`` prefers the vectorized array engine and falls back to the
-    reference dict engine when numpy is unavailable (forcing ``jobs``
-    back to 1, since the dict engine is single-process).  The probe
-    runs here, before the graph load, so a misconfigured invocation
-    fails fast.  Both engines build bit-identical indexes.
+    ``auto`` is the vectorized array engine; ``--jobs > 1`` needs it,
+    since the reference dict engine is single-process.  The check runs
+    here, before the graph load, so a misconfigured invocation fails
+    fast.  Both engines build bit-identical indexes.
     """
     if engine in ("auto", "array"):
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            if engine == "array":
-                print(
-                    "error: --engine array requires numpy; install it or "
-                    "use --engine dict",
-                    file=sys.stderr,
-                )
-                return None
-            if jobs > 1:
-                print(
-                    "warning: numpy unavailable; falling back to the dict "
-                    "engine (single-process, --jobs ignored)",
-                    file=sys.stderr,
-                )
-            return "dict", 1
         return "array", jobs
     if jobs > 1:
         print(
@@ -189,7 +170,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             oracle = ParallelOracle(
                 args.shards,
                 workers=args.workers,
-                executor=args.executor,
                 kernel=args.kernel,
             )
         else:
@@ -236,8 +216,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
     except (IndexError, ValueError) as exc:
         # IndexError: out-of-range vertex ids; ValueError: --kernel on
-        # with a store that has no vectorized path (numpy missing or
-        # --backend list).
+        # with a store that has no vectorized path (--backend list).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -473,7 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.flatstore import load_store
     from repro.oracle import DistanceOracle, ShardedLabelStore
-    from repro.oracle import kernel as kernel_mod
     from repro.serve import DistanceServer, SharedMemoryFanout, fanout_available
 
     try:
@@ -491,24 +469,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     fanout = None
     if workers > 1:
-        if (
-            args.kernel != "off"
-            and fanout_available()
-            and kernel_mod.supports(store)
-        ):
+        if fanout_available():
             fanout = SharedMemoryFanout(
                 store,
                 workers=workers,
                 capacity=max(args.max_batch, 1 << 14),
+                kernel=args.kernel,
             )
             # Fork the workers before the event loop (and its thread
             # pool) exists — the quiescent-parent moment.
             fanout.warmup()
         else:
             print(
-                "warning: shared-memory fan-out unavailable (needs numpy, "
-                "the 'fork' start method, and --kernel != off); serving "
-                "on the inline kernel instead",
+                "warning: shared-memory fan-out unavailable (needs the "
+                "'fork' start method); serving inline instead",
                 file=sys.stderr,
             )
     backend = fanout if fanout is not None else DistanceOracle(
@@ -677,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "array", "dict"],
         default="auto",
         help="construction engine: vectorized arrays or the reference "
-        "dict implementation (auto = array when numpy is available); "
-        "both produce bit-identical indexes",
+        "dict implementation (auto = array); both produce bit-identical "
+        "indexes",
     )
     p.add_argument(
         "--jobs",
@@ -723,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "on", "off"],
         default="auto",
         help="vectorized numpy batch evaluation (default: auto — used "
-        "when numpy and a flat/quantized backend are available)",
+        "on flat/quantized backends)",
     )
     p.add_argument(
         "--shards",
@@ -736,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker pool size for --shards (default: min(shards, cores))",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["process", "thread"],
-        default="process",
-        help="worker pool kind for --shards (default: process)",
     )
     p.set_defaults(func=_cmd_query)
 
@@ -855,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "on", "off"],
         default="auto",
         help="vectorized numpy batch evaluation (default: auto — used "
-        "when numpy and a flat/quantized backend are available)",
+        "on flat/quantized backends)",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -889,8 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "array", "dict"],
         default="auto",
         help="repair engine: vectorized arrays or the reference dict "
-        "path (auto = array when numpy is available); both produce "
-        "identical answers",
+        "path (auto = array); both produce identical answers",
     )
     p.set_defaults(func=_cmd_update)
 

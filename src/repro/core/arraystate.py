@@ -30,9 +30,8 @@ any worker partition of the candidate generation — produce
 **bit-identical** label sets and iteration counters
 (``tests/core/test_parallel_build.py`` enforces this).
 
-``numpy`` is required here (and only here): the module import raises
-``ModuleNotFoundError`` if it is missing, which the engine factory
-turns into a friendly "use engine='dict'" error.
+This module imports numpy at module level; the engine imports it
+lazily, so importing :mod:`repro.core.index` stays numpy-free.
 """
 
 from __future__ import annotations

@@ -80,26 +80,14 @@ REPAIR_ENGINES = ("auto", "array", "dict")
 def resolve_repair_engine(engine: str) -> str:
     """Resolve the ``engine`` knob to ``"array"`` or ``"dict"``.
 
-    ``"auto"`` prefers the vectorized array engine and falls back to
-    the reference dict engine when numpy is unavailable; asking for
-    ``"array"`` without numpy raises a pointed ``ValueError``.
+    ``"auto"`` is the vectorized array engine; ``"dict"`` keeps the
+    reference path.
     """
     if engine not in REPAIR_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {REPAIR_ENGINES}"
         )
-    if engine == "dict":
-        return engine
-    try:
-        import repro.core.arraystate  # noqa: F401  (probes numpy)
-    except ModuleNotFoundError as exc:
-        if engine == "array":
-            raise ValueError(
-                "engine='array' requires numpy; install it or use "
-                "engine='dict'"
-            ) from exc
-        return "dict"
-    return "array"
+    return "dict" if engine == "dict" else "array"
 
 
 class _DictRepairEngine:

@@ -11,7 +11,7 @@ contract:
   dict-based states of :mod:`repro.core.labels` (exactly the original
   single-threaded construction path);
 * :class:`ArrayBuildEngine` — the vectorized engine over
-  :mod:`repro.core.arraystate` (requires numpy), with
+  :mod:`repro.core.arraystate`, with
   :class:`repro.core.parallel_build.ParallelBuildEngine` layering
   multiprocess candidate generation on top for ``jobs > 1``.
 
@@ -184,7 +184,7 @@ class DictBuildEngine:
 
 
 class ArrayBuildEngine:
-    """The vectorized engine over struct-of-arrays state (needs numpy)."""
+    """The vectorized engine over struct-of-arrays state."""
 
     name = "array"
 
@@ -264,21 +264,14 @@ def make_build_engine(
 ) -> BuildEngine:
     """Instantiate a construction backend by name.
 
-    ``engine`` is ``"dict"`` (reference) or ``"array"`` (vectorized,
-    requires numpy); ``jobs > 1`` selects the multiprocess
+    ``engine`` is ``"dict"`` (reference) or ``"array"`` (vectorized);
+    ``jobs > 1`` selects the multiprocess
     :class:`~repro.core.parallel_build.ParallelBuildEngine` and is
     only available with the array engine.
     """
     check_engine_options(engine, jobs)
     if engine == "dict":
         return DictBuildEngine(graph, ranking, rule_set)
-    try:
-        import repro.core.arraystate  # noqa: F401  (probes numpy)
-    except ModuleNotFoundError as exc:
-        raise ValueError(
-            "engine='array' requires numpy; install it or use "
-            "engine='dict'"
-        ) from exc
     if jobs > 1:
         from repro.core.parallel_build import ParallelBuildEngine
 

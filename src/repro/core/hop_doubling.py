@@ -112,7 +112,7 @@ class LabelingBuilder:
     engine:
         Construction backend: ``"dict"`` (the reference per-entry
         implementation, default) or ``"array"`` (the vectorized
-        struct-of-arrays engine, requires numpy).  Both produce
+        struct-of-arrays engine).  Both produce
         bit-identical indexes and iteration counters; ``"array"`` is
         several times faster on non-trivial graphs.
     jobs:

@@ -69,7 +69,7 @@ class HopDoublingIndex:
 
         Performance knobs pass through ``builder_kwargs``:
         ``engine="array"`` selects the vectorized construction engine
-        (requires numpy; several times faster, bit-identical output)
+        (several times faster, bit-identical output)
         and ``jobs=N`` fans candidate generation over N worker
         processes — see :mod:`repro.core.engine`.
         """

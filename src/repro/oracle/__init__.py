@@ -8,10 +8,10 @@ an LRU result cache, and exposes reachability, path reconstruction,
 one-to-all, and k-NN on top.
 
 For indexes too big (or traffic too heavy) for one process, the store
-can be range-partitioned into a shard directory and served by a worker
-pool instead (:mod:`repro.oracle.sharding` /
-:mod:`repro.oracle.parallel`); fanned-out batches default to the
-shared-memory transport of :mod:`repro.serve.shm`, and the asyncio
+can be range-partitioned into a shard directory and served by forked
+workers instead (:mod:`repro.oracle.sharding` /
+:mod:`repro.oracle.parallel`); fanned-out batches ride the
+shared-memory fan-out of :mod:`repro.serve.shm`, and the asyncio
 request frontend lives one layer up in :mod:`repro.serve`.
 
 Quick start::
@@ -33,8 +33,6 @@ from repro.oracle.oracle import DEFAULT_CACHE_SIZE, DistanceOracle
 from repro.oracle.parallel import (
     DEFAULT_INLINE_ENTRIES,
     DEFAULT_MIN_PARALLEL_BATCH,
-    ROUTE_MODES,
-    TRANSPORT_MODES,
     ParallelOracle,
 )
 from repro.oracle.sharding import (
@@ -54,8 +52,6 @@ __all__ = [
     "DEFAULT_INLINE_ENTRIES",
     "DEFAULT_MIN_PARALLEL_BATCH",
     "KERNEL_MODES",
-    "ROUTE_MODES",
-    "TRANSPORT_MODES",
     "LRUCache",
     "CacheInfo",
     "evaluate_batch",

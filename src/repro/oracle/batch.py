@@ -9,17 +9,20 @@ A batch of ``(s, t)`` pairs is answered in three steps:
    without touching the store;
 3. **evaluation** — the remaining pairs go through the vectorized
    numpy kernel (:mod:`repro.oracle.kernel`) when the store exposes
-   CSR arrays and numpy is importable, or otherwise through grouped
-   merge joins: pairs are grouped by source vertex so a store that
-   implements ``query_group`` (the CSR backend) builds each source's
-   pivot dict once and probes every target through it; stores without
-   the hook fall back to per-pair ``query``.
+   CSR arrays, or otherwise through grouped merge joins: pairs are
+   grouped by source vertex so a store that implements
+   ``query_group`` (the CSR backend) builds each source's pivot dict
+   once and probes every target through it; stores without the hook
+   fall back to per-pair ``query``.
 
 Results are bit-identical to calling ``store.query`` per pair
 whichever path runs: every path computes the same minimum over the
 same float64 sums, and the cache only ever stores values produced by
 one of them.  The ``kernel`` knob ("auto"/"on"/"off") exists so
-benchmarks can pin a path; "auto" is right everywhere else.
+benchmarks can pin a path; "auto" is right everywhere else.  The same
+evaluators run on other cores through the shared-memory fan-out of
+:mod:`repro.serve.shm`: kernel spans, or scalar spans through
+:func:`evaluate_batch` with ``kernel="off"``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def _use_kernel(store: LabelStore, kernel: str, num_pairs: int) -> bool:
         if not _kernel.supports(store):
             raise ValueError(
                 "kernel='on' but this store has no vectorized path "
-                "(numpy missing, or a tuple-list backend)"
+                "(a tuple-list backend)"
             )
         return True
     return num_pairs >= MIN_KERNEL_PAIRS and _kernel.supports(store)

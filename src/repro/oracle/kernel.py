@@ -46,20 +46,16 @@ batch is bucketed by (source shard, target shard) and evaluated per
 bucket with the same machinery — pivot ids are global, so only the
 key base changes.
 
-numpy is optional everywhere else in the query stack; this module
-degrades to ``available() == False`` without it and
-:func:`repro.oracle.batch.evaluate_batch` falls back to the scalar
-path.
+This module imports numpy at module level, so nothing on the import
+path of ``repro`` itself imports it eagerly: callers reach it lazily,
+on their first batch.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.core.flatstore import FlatLabelStore
 
@@ -79,22 +75,14 @@ _DENSE_TABLE_ELEMS = 1 << 19
 _MIN_DENSE_BLOCK = 8
 
 
-def available() -> bool:
-    """Whether the kernel can run at all (numpy importable)."""
-    return np is not None
-
-
 def supports(store) -> bool:
     """Whether ``store`` exposes arrays the kernel can consume.
 
     True for the CSR-backed stores — :class:`FlatLabelStore`, its
     quantized v3 subclass, and a
-    :class:`~repro.oracle.sharding.ShardedLabelStore` over them —
-    when numpy is importable.  Tuple-list indexes have no arrays to
-    vectorize over.
+    :class:`~repro.oracle.sharding.ShardedLabelStore` over them.
+    Tuple-list indexes have no arrays to vectorize over.
     """
-    if np is None:
-        return False
     if isinstance(store, FlatLabelStore):
         return True
     from repro.oracle.sharding import ShardedLabelStore
@@ -368,13 +356,13 @@ def _eval_sharded(store, S, T):
 
 
 def batch_eval_arrays(store, S, T):
-    """Array-in/array-out evaluation (the parallel workers' entry).
+    """Array-in/array-out evaluation (the fan-out workers' entry).
 
     The pair columns arrive as int64 numpy arrays and the distances
-    return as one float64 array — the
-    :class:`~repro.oracle.parallel.ParallelOracle` ships chunks across
-    the process boundary in this form because numpy buffers pickle in
-    one memcpy, where a list of tuples costs a per-element walk.
+    return as one float64 array — the form
+    :class:`~repro.serve.shm.SharedMemoryFanout` keeps its shared
+    query and result buffers in, so a worker's span needs no
+    conversion to or from Python tuples.
     """
     n = store.n
     bad = (S < 0) | (S >= n) | (T < 0) | (T >= n)

@@ -17,11 +17,12 @@ call per request.
 * ``{"op": "ping"}`` → ``{"ok": true}``;
 * ``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}`` with batcher
   and backend counters;
-* errors: ``{"ok": false, "code": 400 | 429 | 500 | 503,
+* errors: ``{"ok": false, "code": 400 | 413 | 429 | 500 | 503,
   "error": "..."}`` — 400 for malformed requests (bad JSON, bad
-  pairs, out-of-range vertices), 429 when admission backpressure
-  rejects the request, 500 for evaluator failures, 503 during
-  shutdown.
+  pairs, out-of-range vertices), 413 for a request line over 64 KiB
+  (the server answers, then closes that connection: the line cannot
+  be re-framed), 429 when admission backpressure rejects the request,
+  500 for evaluator failures, 503 during shutdown.
 
 Requests are validated *before* admission, so a malformed request can
 never poison the batch it would have ridden in.  Connections are
@@ -46,6 +47,11 @@ from repro.serve.batcher import (
 )
 
 DEFAULT_HOST = "127.0.0.1"
+
+#: Longest accepted request line in bytes: asyncio's default
+#: ``StreamReader`` limit, stated explicitly so the 413 reply can
+#: name it.
+_LINE_LIMIT = 1 << 16
 
 
 class ServerError(RuntimeError):
@@ -129,7 +135,7 @@ class DistanceServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=_LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.address
@@ -154,15 +160,23 @@ class DistanceServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the line limit.  Answer, skip the rest of
+                    # the line (closing with unread input would reset
+                    # the connection under the reply), then hang up.
+                    response = _error(
+                        413, f"request line exceeds {_LINE_LIMIT} bytes", None
+                    )
+                    await self._send(writer, response)
+                    while chunk := await reader.read(_LINE_LIMIT):
+                        if b"\n" in chunk:
+                            break
+                    break
                 if not line:
                     break
-                response = await self._respond(line)
-                writer.write(
-                    json.dumps(response, separators=(",", ":")).encode()
-                    + b"\n"
-                )
-                await writer.drain()
+                await self._send(writer, await self._respond(line))
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -171,6 +185,13 @@ class DistanceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, response: dict) -> None:
+        writer.write(
+            json.dumps(response, separators=(",", ":")).encode() + b"\n"
+        )
+        await writer.drain()
 
     async def _respond(self, line: bytes) -> dict:
         try:

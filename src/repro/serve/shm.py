@@ -1,14 +1,9 @@
-"""Shared-memory fan-out: multi-core batch evaluation, zero marshalling.
+"""Shared-memory fan-out: the one worker pool that serves queries.
 
-The original :class:`~repro.oracle.parallel.ParallelOracle` transport
-pickles every chunk's pair arrays into the worker processes and the
-distances back out — cheap per element, but it rides the pool's pipe
-for every batch and each worker rebuilds its own copy of the kernel's
-packed key views, so fan-out *lost* to the inline kernel on
-cache-resident indexes (``BENCH_shard_throughput.json``).  Label
-lookup is a memory-bandwidth problem (Akiba et al.; Farhan et al. —
-see PAPERS.md); the fix is sharing the label arrays, not copying them
-per process.  This module removes both copies:
+Label lookup is a memory-bandwidth problem (Akiba et al.; Farhan et
+al. — see PAPERS.md); the way to spread it over cores is sharing the
+label arrays between workers, not copying them per process.  This
+module shares both halves of the work:
 
 * **labels**: the parent builds the kernel's packed key views once
   (:func:`repro.oracle.kernel.ensure_sides`) and only then forks the
@@ -21,6 +16,12 @@ per process.  This module removes both copies:
   ``(lo, hi)`` span — two integers through the pool — and each worker
   writes its distances straight into the shared result buffer.
 
+Each span runs one of two evaluators: the vectorized kernel
+(:func:`repro.oracle.kernel.batch_eval_arrays`), or with
+``kernel="off"`` the scalar grouped merge joins of
+:func:`repro.oracle.batch.evaluate_batch` — so the scalar path keeps a
+multi-core route over the same transport.
+
 Batches against a sharded store are grouped by the shard owning each
 pair's source vertex, so a worker's probes stay inside one shard's
 pages; the per-shard routing counts accumulate as **hit counts**, and
@@ -31,10 +32,14 @@ implicit in this design: every forked worker shares the whole label
 set, so any worker can serve any shard's span and a hot range is
 served by as many workers as its query mass demands.
 
-Requires numpy and the ``fork`` start method (POSIX);
-:func:`available` reports both, and the
-:class:`~repro.oracle.parallel.ParallelOracle` falls back to the
-pickle transport where this module cannot run.
+A worker that dies (OOM killer, stray ``SIGKILL``) costs one batch
+answered inline in the parent, not the pool: the broken pool is
+dropped, the next batch forks fresh workers, and the event is counted
+as a respawn in :meth:`SharedMemoryFanout.stats`.
+
+Requires the ``fork`` start method (POSIX), which :func:`available`
+reports; :class:`~repro.oracle.parallel.ParallelOracle` answers inline
+where it is missing.
 """
 
 from __future__ import annotations
@@ -43,14 +48,13 @@ import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable
 
-try:  # numpy is an optional dependency of the serving stack
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.oracle import kernel as _kernel
+from repro.oracle.batch import KERNEL_MODES, evaluate_batch
 
 #: Initial capacity (in pairs) of the shared query/result buffers.
 #: Buffers grow geometrically when a larger batch arrives; growth
@@ -67,17 +71,15 @@ class FanoutUnavailableError(RuntimeError):
 
 
 def available() -> bool:
-    """Whether fan-out can run here: numpy plus the ``fork`` method."""
-    return (
-        np is not None
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
+    """Whether fan-out can run here: the ``fork`` start method exists."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
-# Worker-side serving state, inherited at fork time: (store, S, T, R)
-# with S/T/R numpy views over the shared mmap buffers.  Deliberately a
-# module global rather than pool initargs — fork-inheritance of the
-# parent's objects is the whole point, nothing may be pickled.  The
+# Worker-side serving state, inherited at fork time: (store, S, T, R,
+# kernel) with S/T/R numpy views over the shared mmap buffers.
+# Deliberately a module global rather than pool initargs —
+# fork-inheritance of the parent's objects is the whole point, nothing
+# may be pickled.  The
 # owning SharedMemoryFanout rebinds it before every submit round, so
 # pools forked by different instances never mix state.
 _FANOUT_STATE = None
@@ -88,10 +90,16 @@ def _eval_span(lo: int, hi: int) -> None:
 
     Reads pairs from the shared S/T views, writes distances into the
     shared R view — the return value is ``None`` on purpose, nothing
-    crosses the pool's result pipe but the completion itself.
+    crosses the pool's result pipe but the completion itself.  The
+    parent calls it directly to answer a batch inline after a worker
+    died.
     """
-    store, S, T, R = _FANOUT_STATE
-    R[lo:hi] = _kernel.batch_eval_arrays(store, S[lo:hi], T[lo:hi])
+    store, S, T, R, kernel = _FANOUT_STATE
+    if kernel == "off":
+        pairs = zip(S[lo:hi].tolist(), T[lo:hi].tolist())
+        R[lo:hi] = evaluate_batch(store, pairs, kernel="off")
+    else:
+        R[lo:hi] = _kernel.batch_eval_arrays(store, S[lo:hi], T[lo:hi])
 
 
 class SharedMemoryFanout:
@@ -101,8 +109,9 @@ class SharedMemoryFanout:
     :class:`~repro.core.flatstore.FlatLabelStore`, its quantized v3
     subclass, or a :class:`~repro.oracle.sharding.ShardedLabelStore`
     over them.  Answers are bit-identical to ``store.query`` per pair:
-    every span runs the same :func:`repro.oracle.kernel`
-    machinery the inline path uses, just on another core.
+    every span runs the same evaluator the inline path uses, just on
+    another core — the vectorized kernel, or with ``kernel="off"`` the
+    scalar grouped merge joins.
 
     The instance owns a forked worker pool and the shared query
     buffers; :meth:`close` (or use as a context manager) releases
@@ -114,11 +123,15 @@ class SharedMemoryFanout:
         store,
         workers: int | None = None,
         capacity: int = DEFAULT_CAPACITY,
+        kernel: str = "auto",
     ) -> None:
         if not available():
             raise FanoutUnavailableError(
-                "shared-memory fan-out needs numpy and the 'fork' "
-                "start method"
+                "shared-memory fan-out needs the 'fork' start method"
+            )
+        if kernel not in KERNEL_MODES:
+            raise ValueError(
+                f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
             )
         if not _kernel.supports(store):
             raise FanoutUnavailableError(
@@ -145,11 +158,15 @@ class SharedMemoryFanout:
         self.shard_hits = np.zeros(
             store.num_shards if self._sharded else 1, dtype=np.int64
         )
+        self.kernel = kernel
         self.pairs_served = 0
         self.batches_served = 0
+        self.respawns = 0
         # Build the packed key views BEFORE any fork, so children
-        # inherit them copy-on-write instead of rebuilding per worker.
-        _kernel.ensure_sides(store)
+        # inherit them copy-on-write instead of rebuilding per worker
+        # (scalar spans never read them).
+        if kernel != "off":
+            _kernel.ensure_sides(store)
         self._pool: ProcessPoolExecutor | None = None
         self._capacity = 0
         self._mm: mmap.mmap | None = None
@@ -188,7 +205,7 @@ class SharedMemoryFanout:
         global _FANOUT_STATE
         # Rebound before every submit round: workers snapshot the
         # global at fork time, and the pool forks lazily on submit.
-        _FANOUT_STATE = (self.store, self._S, self._T, self._R)
+        _FANOUT_STATE = (self.store, self._S, self._T, self._R, self.kernel)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -257,10 +274,18 @@ class SharedMemoryFanout:
         else:
             self._S[:npairs] = S[order]
             self._T[:npairs] = T[order]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_eval_span, lo, hi) for lo, hi in spans]
-        for future in futures:
-            future.result()
+        try:
+            pool = self._ensure_pool()
+            futures = [pool.submit(_eval_span, lo, hi) for lo, hi in spans]
+            for future in futures:
+                future.result()
+        except BrokenProcessPool:
+            # A worker died.  Drop the pool — the next batch forks fresh
+            # workers — and answer this batch in the parent, whose
+            # S/T/R views are the very buffers the spans read and write.
+            self._shutdown_pool()
+            self.respawns += 1
+            _eval_span(0, npairs)
         self.pairs_served += npairs
         self.batches_served += 1
         if order is None:
@@ -305,12 +330,13 @@ class SharedMemoryFanout:
 
     # -- load accounting and rebalancing -------------------------------------
     def stats(self) -> dict:
-        """Serving counters: batches, pairs, and per-shard hit counts."""
+        """Serving counters: batches, pairs, respawns, per-shard hits."""
         return {
             "workers": self.workers,
             "capacity": self._capacity,
             "pairs_served": self.pairs_served,
             "batches_served": self.batches_served,
+            "respawns": self.respawns,
             "shard_hits": self.shard_hits.tolist(),
         }
 
@@ -349,7 +375,8 @@ class SharedMemoryFanout:
         ranges = self.rebalance_ranges(num_shards)
         new_store = ShardedLabelStore.split(self.store, ranges=ranges)
         self._shutdown_pool()
-        _kernel.ensure_sides(new_store)
+        if self.kernel != "off":
+            _kernel.ensure_sides(new_store)
         self.store = new_store
         self._los = np.asarray(new_store._los, dtype=np.int64)
         self.shard_hits = np.zeros(new_store.num_shards, dtype=np.int64)
@@ -370,7 +397,7 @@ class SharedMemoryFanout:
     def __repr__(self) -> str:
         return (
             f"SharedMemoryFanout({self.store!r}, workers={self.workers}, "
-            f"capacity={self._capacity})"
+            f"capacity={self._capacity}, kernel={self.kernel!r})"
         )
 
 

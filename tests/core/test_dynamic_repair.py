@@ -22,7 +22,6 @@ from hypothesis import given, settings
 
 from repro.baselines.apsp import APSPOracle
 from repro.core.dynamic import (
-    REPAIR_ENGINES,
     DynamicHopDoublingIndex,
     resolve_repair_engine,
 )
@@ -31,16 +30,7 @@ from repro.core.hybrid import make_builder
 from repro.graphs.digraph import Graph
 from tests.conftest import graph_strategy, random_graph
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-free environments
-    HAVE_NUMPY = False
-
-ENGINES = ["dict"] + (["array"] if HAVE_NUMPY else [])
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+ENGINES = ["dict", "array"]
 
 
 def _random_stream(rng: random.Random, n: int, count: int, weighted: bool):
@@ -85,7 +75,6 @@ class TestRandomizedRepair:
                 )
         _assert_exact(dyn)
 
-    @needs_numpy
     @pytest.mark.parametrize("seed", range(10))
     def test_engines_bit_identical(self, seed):
         """Dict and array repair build the exact same label state."""
@@ -118,8 +107,7 @@ class TestRandomizedRepair:
         """Hypothesis: repair stays exact on arbitrary small graphs."""
         rng = random.Random(graph.num_vertices * 31 + graph.num_edges)
         n = graph.num_vertices
-        engine = "array" if HAVE_NUMPY else "dict"
-        dyn = DynamicHopDoublingIndex(graph, engine=engine)
+        dyn = DynamicHopDoublingIndex(graph, engine="array")
         dyn.insert_edges(_random_stream(rng, n, 4, graph.weighted))
         _assert_exact(dyn)
 
@@ -165,7 +153,8 @@ class TestFromStoreAdoption:
         with pytest.raises(ValueError, match="unknown engine"):
             DynamicHopDoublingIndex(graph, engine="gpu")
         assert resolve_repair_engine("dict") == "dict"
-        assert resolve_repair_engine("auto") in REPAIR_ENGINES
+        assert resolve_repair_engine("auto") == "array"
+        assert resolve_repair_engine("array") == "array"
 
 
 class TestBatchSemantics:
@@ -256,7 +245,6 @@ class TestLabelDeltaHandoff:
             for t in range(n):
                 assert store.query(s, t) == dyn.query(s, t)
 
-    @needs_numpy
     def test_delta_serves_through_quantized_and_kernel(self):
         from repro.core.quantized import QuantizedLabelStore
         from repro.oracle import evaluate_batch

@@ -8,6 +8,7 @@ in :mod:`repro.core.flatstore`).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.flatstore import FlatLabelStore
@@ -22,8 +23,6 @@ from repro.oracle import (
 )
 from repro.oracle import kernel
 from tests.conftest import random_graph
-
-np = pytest.importorskip("numpy")
 
 
 def build_flat(n=120, seed=3, directed=False):
@@ -47,7 +46,6 @@ def flat(request):
 
 class TestSupports:
     def test_flat_and_quantized_supported(self, flat):
-        assert kernel.available()
         assert kernel.supports(flat)
         assert kernel.supports(QuantizedLabelStore.from_flat(flat))
         assert kernel.supports(ShardedLabelStore.split(flat, 3))

@@ -148,42 +148,42 @@ class TestParallelRouting:
         rng = random.Random(seed)
         return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
-    def test_route_knob_validation(self, setting, tmp_path):
-        root = make_dir(setting, tmp_path)
-        with pytest.raises(ValueError, match="route"):
-            ParallelOracle(root, route="sideways")
-
     def test_routes_agree_bit_identically(self, setting, tmp_path):
         graph, store, _, _ = setting
         root = make_dir(setting, tmp_path)
         pairs = self._pairs(graph.num_vertices)
         want = [store.query(s, t) for s, t in pairs]
-        for route in ("auto", "inline", "fanout"):
+        # Inline kernel, fanned-out kernel spans, fanned-out scalar
+        # spans, and inline scalar (below the batch threshold).
+        for config in (
+            {},
+            {"inline_entries": 0},
+            {"kernel": "off"},
+            {"kernel": "off", "min_parallel_batch": len(pairs) + 1},
+        ):
+            kwargs = {"min_parallel_batch": 8, **config}
             with ParallelOracle(
-                root, workers=2, executor="thread", route=route,
-                min_parallel_batch=8, cache_size=0,
+                root, workers=2, cache_size=0, **kwargs
             ) as oracle:
-                assert oracle.query_batch(pairs) == want, route
+                assert oracle.query_batch(pairs) == want, config
 
     def test_auto_inlines_cache_resident_store(self, setting, tmp_path):
         root = make_dir(setting, tmp_path)
         with ParallelOracle(
-            root, workers=2, executor="thread", min_parallel_batch=8
+            root, workers=2, min_parallel_batch=8
         ) as oracle:
             entries = oracle.store.total_entries(include_trivial=True)
-            if oracle._kernel_active():
-                assert oracle._serve_inline(10_000)
+            assert oracle._serve_inline(10_000)
             oracle.inline_entries = entries - 1
             oracle._total_entries = None
-            if oracle._kernel_active():
-                assert not oracle._serve_inline(10_000)
+            assert not oracle._serve_inline(10_000)
 
     def test_updates_force_inline_until_reconcile(self, setting, tmp_path):
         graph, _, dyn, delta = setting
         root = make_dir(setting, tmp_path)
         pairs = self._pairs(graph.num_vertices)
         with ParallelOracle(
-            root, workers=2, executor="thread", route="fanout",
+            root, workers=2, inline_entries=0,
             min_parallel_batch=8, cache_size=0,
         ) as oracle:
             assert not oracle._serve_inline(len(pairs))

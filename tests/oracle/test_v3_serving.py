@@ -122,13 +122,13 @@ class TestShardedServing:
         p = pairs(37, 600)
         expected = [flat.query(s, t) for s, t in p]
         with ParallelOracle(
-            shard_dir, workers=2, executor="thread",
+            shard_dir, workers=2, inline_entries=0,
             min_parallel_batch=1, cache_size=0,
         ) as oracle:
             assert oracle.query_batch(p) == expected
-        # And with the kernel pinned off, through the scalar chunks.
+        # And with the kernel pinned off, through the scalar spans.
         with ParallelOracle(
-            shard_dir, workers=2, executor="thread",
+            shard_dir, workers=2, inline_entries=0,
             min_parallel_batch=1, cache_size=0, kernel="off",
         ) as oracle:
             assert oracle.query_batch(p) == expected

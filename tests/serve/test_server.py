@@ -111,6 +111,32 @@ def test_malformed_requests_get_400_not_disconnect(flat):
     assert good["ok"] is True
 
 
+def test_oversize_line_gets_413_and_others_keep_serving(flat):
+    async def scenario(server, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        # 100 KiB on one line: over the server's 64 KiB line limit.
+        pairs = [[0, 1]] * (100 * 1024 // len("[0,1],"))
+        writer.write(json.dumps({"pairs": pairs}).encode() + b"\n")
+        await writer.drain()
+        reply = json.loads(await reader.readline())
+        # The server closes that connection after answering.
+        tail = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        client = await DistanceClient.connect(host, port)
+        try:
+            distances = await client.query([(0, 1)])
+        finally:
+            await client.aclose()
+        return reply, tail, distances
+
+    reply, tail, distances = _serve(flat, scenario)
+    assert reply["ok"] is False and reply["code"] == 413
+    assert "exceeds" in reply["error"]
+    assert tail == b""
+    assert distances == [flat.query(0, 1)]
+
+
 def test_request_id_echoed(flat):
     async def scenario(server, host, port):
         client = await DistanceClient.connect(host, port)

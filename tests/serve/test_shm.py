@@ -1,24 +1,26 @@
-"""Shared-memory fan-out: bit-identity, routing, and the rebalance hook."""
+"""Shared-memory fan-out: bit-identity, routing, respawn, and rebalancing."""
+
+import os
+import signal
+import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.baselines.pll import build_pll  # noqa: E402
-from repro.bench.workloads import random_pairs  # noqa: E402
-from repro.core.flatstore import FlatLabelStore  # noqa: E402
-from repro.core.quantized import QuantizedLabelStore  # noqa: E402
-from repro.graphs.generators import ba_graph  # noqa: E402
-from repro.oracle import ShardedLabelStore  # noqa: E402
-from repro.oracle.sharding import load_balanced_ranges  # noqa: E402
-from repro.serve import shm  # noqa: E402
-from repro.serve.shm import (  # noqa: E402
+from repro.baselines.pll import build_pll
+from repro.bench.workloads import random_pairs
+from repro.core.flatstore import FlatLabelStore
+from repro.core.quantized import QuantizedLabelStore
+from repro.graphs.generators import ba_graph
+from repro.oracle import ShardedLabelStore
+from repro.oracle.sharding import load_balanced_ranges
+from repro.serve import shm
+from repro.serve.shm import (
     FanoutUnavailableError,
     SharedMemoryFanout,
 )
 
 pytestmark = pytest.mark.skipif(
-    not shm.available(), reason="needs numpy and the fork start method"
+    not shm.available(), reason="needs the fork start method"
 )
 
 
@@ -41,6 +43,37 @@ def test_sharded_bit_identity(flat, expected, num_shards):
     store = ShardedLabelStore.split(flat, num_shards)
     with SharedMemoryFanout(store, workers=2) as fanout:
         assert fanout.query_batch(pairs) == want
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_scalar_spans_bit_identity(flat, expected, num_shards):
+    pairs, want = expected
+    store = ShardedLabelStore.split(flat, num_shards)
+    with SharedMemoryFanout(store, workers=2, kernel="off") as fanout:
+        assert fanout.query_batch(pairs) == want
+
+
+def test_killed_worker_costs_one_inline_batch(flat, expected):
+    pairs, want = expected
+    store = ShardedLabelStore.split(flat, 3)
+    with SharedMemoryFanout(store, workers=2) as fanout:
+        fanout.warmup()
+        pool = fanout._pool
+        victim = next(iter(pool._processes))
+        os.kill(victim, signal.SIGKILL)
+        # Let the pool notice the death, so the next batch meets a
+        # broken pool rather than racing the detection.
+        deadline = time.monotonic() + 10
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fanout.query_batch(pairs) == want
+        assert fanout.stats()["respawns"] == 1
+        assert fanout._pool is None
+        # The next batch forks fresh workers and fans out again.
+        assert fanout.query_batch(pairs) == want
+        assert fanout.stats()["respawns"] == 1
+        assert fanout._pool is not None
+        assert victim not in fanout._pool._processes
 
 
 def test_flat_store_bit_identity(flat, expected):
@@ -142,6 +175,8 @@ def test_invalid_configuration_rejected(flat):
         SharedMemoryFanout(flat, workers=0)
     with pytest.raises(ValueError, match="capacity"):
         SharedMemoryFanout(flat, capacity=0)
+    with pytest.raises(ValueError, match="kernel"):
+        SharedMemoryFanout(flat, kernel="sometimes")
 
 
 def test_warmup_then_serve(flat, expected):

@@ -89,7 +89,6 @@ class TestBuildAndQuery:
 
     def test_build_engines_agree(self, graph_file, tmp_path, capsys):
         """--engine dict/array (and --jobs) write identical index files."""
-        pytest.importorskip("numpy")
         outputs = {}
         for name, flags in {
             "dict": ["--engine", "dict"],
@@ -401,8 +400,8 @@ class TestShardAndParallelQuery:
                                                capsys):
         main(["query", str(v2_index), "0", "10", "3", "3"])
         single = capsys.readouterr().out
-        rc = main(["query", "--shards", str(shard_dir), "--executor",
-                   "thread", "0", "10", "3", "3"])
+        rc = main(["query", "--shards", str(shard_dir), "0", "10", "3",
+                   "3"])
         assert rc == 0
         assert capsys.readouterr().out == single
 
@@ -413,7 +412,7 @@ class TestShardAndParallelQuery:
         main(["query", str(v2_index), "--batch", str(batch)])
         single = capsys.readouterr().out
         rc = main(["query", "--shards", str(shard_dir), "--workers", "2",
-                   "--executor", "thread", "--batch", str(batch)])
+                   "--batch", str(batch)])
         assert rc == 0
         assert capsys.readouterr().out == single
 
@@ -435,8 +434,7 @@ class TestShardAndParallelQuery:
         assert "not a shard directory" in capsys.readouterr().err
 
     def test_query_shards_out_of_range(self, shard_dir, capsys):
-        rc = main(["query", "--shards", str(shard_dir), "--executor",
-                   "thread", "0", "999999"])
+        rc = main(["query", "--shards", str(shard_dir), "0", "999999"])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
